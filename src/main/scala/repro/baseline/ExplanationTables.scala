@@ -1,7 +1,7 @@
 package repro.baseline
 
 import org.apache.spark.sql.DataFrame
-import repro.core.{Metrics, Pattern}
+import repro.core.Pattern
 import repro.ml.LocalSample
 
 /** Explanation Tables baseline (Gebaly et al. [19], compared against in
@@ -59,12 +59,6 @@ object ExplanationTables {
     val n = sample.size
     if (n == 0 || candidates.isEmpty) return Nil
 
-    def matches(p: Pattern.Pattern, row: Array[Any]): Boolean =
-      p.preds.forall { pr =>
-        val v = row(sample.attrIndex(pr.attr))
-        v != null && v.toString == pr.value.render
-      }
-
     def entropy(c1: Int, c0: Int): Double = {
       val t = c1 + c0
       if (t == 0 || c1 == 0 || c0 == 0) 0.0
@@ -83,10 +77,11 @@ object ExplanationTables {
       // Re-score every remaining candidate against the uncovered rows.
       var best: Option[(Pattern.Pattern, Double, Long, Long)] = None
       pool.foreach { p =>
+        val cols = p.columnsIn(cats)
         var c0 = 0; var c1 = 0
         var i = 0
         while (i < n) {
-          if (!covered(i) && matches(p, sample.rows(i))) {
+          if (!covered(i) && p.matches(sample.rows(i), cols)) {
             if (sample.labels(i) == 0) c0 += 1 else c1 += 1
           }
           i += 1
@@ -101,7 +96,8 @@ object ExplanationTables {
         case Some((p, g, c0, c1)) =>
           out += EtPattern(p, g, c0, c1)
           pool -= p
-          sample.rows.indices.foreach(i => if (matches(p, sample.rows(i))) covered(i) = true)
+          val cols = p.columnsIn(cats)
+          sample.rows.indices.foreach(i => if (p.matches(sample.rows(i), cols)) covered(i) = true)
         case None => pool.clear()
       }
     }
@@ -117,8 +113,4 @@ object ExplanationTables {
     val out = summarize(sample, k)
     (out, (System.nanoTime() - t0) / 1e9)
   }
-
-  /** Convenience: exact supports of ET patterns on the full APT. */
-  def support(apt: DataFrame, pats: Seq[Pattern.Pattern]): Seq[Metrics.Coverage] =
-    Metrics.coverage(apt, pats)
 }

@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
+import repro.ml.LocalSample
 
 /** Augmented provenance tables (paper Section 2.3, Definition 4).
   *
@@ -48,6 +49,37 @@ object Apt {
       }
     }
     df
+  }
+
+  /** An APT (or a PT) projected to some attributes and collected to the
+    * driver, sorted by (pt_id, grp) so the rows of one PT tuple are
+    * contiguous. Row i derives from PT tuple `ptIds(i)` of question tuple
+    * `labels(i)` (0 = t1, 1 = t2); its values, one per attribute of `attrs`,
+    * use [[LocalSample]]'s encoding.
+    */
+  final class Local(val attrs: Vector[String], val ptIds: Array[Long], val labels: Array[Int],
+                    val rows: Array[Array[Any]]) {
+    def size: Int = rows.length
+
+    /** The rows of the PT tuples whose pt_id satisfies `keep`. */
+    def filter(keep: Long => Boolean): Local = {
+      val idx = ptIds.indices.filter(i => keep(ptIds(i))).toArray
+      new Local(attrs, idx.map(ptIds), idx.map(labels), idx.map(rows))
+    }
+  }
+
+  /** Collects `pt_id`, `grp` and the columns `cols` of the question rows
+    * (grp ∈ {t1, t2}) of `apt` in one Spark job.
+    */
+  def collect(apt: DataFrame, cols: Seq[String]): Local = {
+    val attrs = LocalSample.attrsOf(apt, cols)
+    val rows = apt.filter(col("grp").isin("t1", "t2"))
+      .select((cols :+ "pt_id" :+ "grp").map(col): _*).collect()
+      .map { r =>
+        (r.getLong(cols.size), if (r.getString(cols.size + 1) == "t1") 0 else 1, LocalSample.encode(r, attrs))
+      }
+      .sortBy(r => (r._1, r._2))
+    new Local(cols.toVector, rows.map(_._1), rows.map(_._2), rows.map(_._3))
   }
 
   /** The Spark join condition for one join-graph edge. */

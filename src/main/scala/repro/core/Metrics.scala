@@ -7,9 +7,10 @@ import org.apache.spark.sql.functions._
   *
   * A PT tuple t' of output t is *covered* by (Ω, Φ) if at least one APT row
   * derived from t' matches Φ. Coverage is therefore counted per distinct
-  * `pt_id`, never per APT row — the group-by/max/sum cascade below computes
-  * it for a whole batch of patterns in a single Spark job, which is the
-  * optimization that makes mining over many candidates feasible.
+  * `pt_id`, never per APT row. It is computed on the driver over an APT
+  * collected once per join graph ([[Apt.collect]]): after feature selection
+  * the APT holds a few columns and at most some thousands of rows, so a
+  * row scan per pattern is cheaper than any Spark job.
   */
 object Metrics {
 
@@ -34,29 +35,26 @@ object Metrics {
     (m.getOrElse("t1", 0L), m.getOrElse("t2", 0L))
   }
 
-  /** Batched coverage: one Spark aggregation per `chunk` patterns.
-    *
-    * For every pattern i we compute max(match_i) per (pt_id, grp) — "was
-    * any APT row of this PT tuple a match" — then sum those indicators per
-    * grp. Returns coverage aligned with `patterns`.
+  /** Coverage of each pattern over a collected APT, aligned with
+    * `patterns`: a PT tuple counts once, in its question group, if any of
+    * its rows matches. Each pattern is one scan over the rows, in which a
+    * PT tuple's rows are contiguous.
     */
-  def coverage(apt: DataFrame, patterns: Seq[Pattern.Pattern], chunk: Int = 96): Seq[Coverage] = {
-    if (patterns.isEmpty) return Nil
-    patterns.grouped(chunk).flatMap { batch =>
-      val matchCols = batch.zipWithIndex.map { case (p, i) =>
-        max(when(p.toColumn, lit(1)).otherwise(lit(0))).as(s"m$i")
+  def coverage(apt: Apt.Local, patterns: Seq[Pattern.Pattern]): Seq[Coverage] = patterns.map { p =>
+    val cols = p.columnsIn(apt.attrs)
+    val counts = Array(0L, 0L)
+    var i = 0
+    while (i < apt.size) {
+      var j = i
+      var hit = false
+      while (j < apt.size && apt.ptIds(j) == apt.ptIds(i) && apt.labels(j) == apt.labels(i)) {
+        hit = hit || p.matches(apt.rows(j), cols)
+        j += 1
       }
-      val perTuple = apt.groupBy(col("pt_id"), col("grp"))
-        .agg(matchCols.head, matchCols.tail: _*)
-      val sumCols = batch.indices.map(i => sum(col(s"m$i")).as(s"s$i"))
-      val rows = perTuple.groupBy(col("grp")).agg(sumCols.head, sumCols.tail: _*).collect()
-      val byGrp = rows.map(r => r.getString(0) -> r).toMap
-      batch.indices.map { i =>
-        def cnt(g: String): Long =
-          byGrp.get(g).map(r => if (r.isNullAt(i + 1)) 0L else r.getLong(i + 1)).getOrElse(0L)
-        Coverage(cnt("t1"), cnt("t2"))
-      }
-    }.toSeq
+      if (hit) counts(apt.labels(i)) += 1
+      i = j
+    }
+    Coverage(counts(0), counts(1))
   }
 
   /** Derives precision/recall/F-score (Definition 7(e)) from coverage given

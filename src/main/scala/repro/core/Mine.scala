@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.catalyst.expressions.XXH64
 import repro.ml.LocalSample
 
 /** MineAPT (paper Algorithm 1): top-k pattern mining over one augmented
@@ -10,9 +10,11 @@ import repro.ml.LocalSample
   * Phases: (i) sample + feature selection, (ii) LCA candidates over
   * categorical attributes, (iii) recall filtering with the monotonicity
   * pruning of Proposition 3.1, (iv) numeric refinement over domain
-  * fragments, (v) diverse top-k by wscore. Candidate evaluation during
-  * mining runs on a pt_id-sampled APT (λ_F1-samp); the returned top-k is
-  * re-scored exactly on the full APT so reported supports are precise.
+  * fragments, (v) diverse top-k by wscore. After feature selection the APT
+  * is collected to the driver once ([[Apt.collect]]), and every later step
+  * reads that table: candidate evaluation and fragment boundaries use its
+  * pt_id-sampled rows (λ_F1-samp), and the returned top-k is re-scored
+  * exactly on all its rows so reported supports are precise.
   */
 object Mine {
 
@@ -52,29 +54,26 @@ object Mine {
   def mineJoinGraph(db: Schema.Database, q: Query.QuerySpec, pt: DataFrame,
                     jg: Schema.JoinGraph, params: Params,
                     timer: StepTimer = new StepTimer): MineResult = {
-    val apt = timer.time("Materialize APTs") {
+    val (apt, aptRows) = timer.time("Materialize APTs") {
       val a = Apt.materialize(db, q, pt, jg).cache()
-      a.count()
-      a
+      (a, a.count())
     }
     try {
       val attrCols = Apt.patternColumns(apt, q)
-      val stats = AptStats(apt.count(), attrCols.size)
-      val (n1, n2) = Metrics.provSizes(pt)
+      val stats = AptStats(aptRows, attrCols.size)
+      val ptTuples = Apt.collect(pt, Nil)
+      val Metrics.Coverage(n1, n2) = tupleCounts(ptTuples)
       if (n1 == 0 || n2 == 0) return MineResult(Nil, stats)
 
       // Sampling for F-score calculation: a deterministic pt_id-hash sample
-      // of APT rows *per PT tuple*, so per-tuple coverage stays well defined.
-      val (evalApt, en1, en2) = timer.time("Sampling for F1") {
-        if (params.f1SampleRate >= 1.0) (apt, n1, n2)
+      // of whole PT tuples, so per-tuple coverage stays well defined.
+      val (inSample, en1, en2) = timer.time("Sampling for F1") {
+        val all = ((_: Long) => true, n1, n2)
+        if (params.f1SampleRate >= 1.0) all
         else {
-          val cond = pmod(xxhash64(col("pt_id"), lit(params.seed)), lit(10000)) <
-            lit((params.f1SampleRate * 10000).toInt)
-          val sApt = apt.filter(cond).cache()
-          val sizes = pt.filter(cond).groupBy("grp").agg(countDistinct("pt_id").as("n")).collect()
-            .map(r => r.getString(0) -> r.getLong(1)).toMap
-          val (s1, s2) = (sizes.getOrElse("t1", 0L), sizes.getOrElse("t2", 0L))
-          if (s1 == 0 || s2 == 0) (apt, n1, n2) else (sApt, s1, s2)
+          val keep = (ptId: Long) => inF1Sample(ptId, params.f1SampleRate, params.seed)
+          val Metrics.Coverage(s1, s2) = tupleCounts(ptTuples.filter(keep))
+          if (s1 == 0 || s2 == 0) all else (keep, s1, s2)
         }
       }
 
@@ -83,6 +82,11 @@ object Mine {
       }
       val selected = timer.time("Feature Selection") {
         FeatureSelect.filterAttrs(sample, params)
+      }
+
+      val (fullApt, evalApt) = timer.time("Sampling for F1") {
+        val t = Apt.collect(apt, selected.categorical ++ selected.numeric)
+        (t, t.filter(inSample))
       }
 
       val catCandidates = timer.time("Gen. Pat. Cand.") {
@@ -153,7 +157,7 @@ object Mine {
 
       // …then exact re-scoring of just the winners on the full APT.
       val exact = timer.time("F-score Calc.") {
-        val cov = Metrics.coverage(apt, picked.map(_._1))
+        val cov = Metrics.coverage(fullApt, picked.map(_._1))
         picked.zip(cov).map { case ((p, qu), c) =>
           Explanation(jg, p, Metrics.quality(c, n1, n2, qu.primary))
         }
@@ -164,22 +168,40 @@ object Mine {
     }
   }
 
-  /** Batched quality evaluation of patterns for both orientations. */
-  def evaluate(apt: DataFrame, patterns: Seq[Pattern.Pattern], n1: Long, n2: Long): Seq[(Pattern.Pattern, Metrics.Quality, Metrics.Quality)] = {
+  /** Distinct PT tuples of t1 and of t2 in a collected APT. */
+  private def tupleCounts(apt: Apt.Local): Metrics.Coverage =
+    Metrics.coverage(apt, Seq(Pattern.Pattern.empty)).head
+
+  /** Whether PT tuple `ptId` is in the λ_F1-samp sample at `rate`: its
+    * Spark xxHash64 of the columns (pt_id, seed), mod 10000, is below
+    * rate·10000. Spark hashes the seed as a second column, under hash
+    * seed 42, so a Spark SQL filter on that hash keeps the same tuples.
+    */
+  def inF1Sample(ptId: Long, rate: Double, seed: Long): Boolean =
+    Math.floorMod(XXH64.hashLong(seed, XXH64.hashLong(ptId, 42L)), 10000L) < (rate * 10000).toInt
+
+  /** Quality of patterns for both orientations. */
+  def evaluate(apt: Apt.Local, patterns: Seq[Pattern.Pattern], n1: Long, n2: Long): Seq[(Pattern.Pattern, Metrics.Quality, Metrics.Quality)] = {
     val cov = Metrics.coverage(apt, patterns)
     patterns.zip(cov).map { case (p, c) =>
       (p, Metrics.quality(c, n1, n2, "t1"), Metrics.quality(c, n1, n2, "t2"))
     }
   }
 
-  /** Domain fragment boundaries (Section 3.4): λ_#frag-quantile boundaries
-    * per numeric attribute, computed in one approxQuantile pass.
+  /** Domain fragment boundaries (Section 3.4) per numeric attribute, over
+    * the rows where none of `numericAttrs` is null: with n such rows, the
+    * p-quantile for p = 1/λ_#frag … (λ_#frag−1)/λ_#frag is the sorted value
+    * at index ⌈p·n⌉−1. Equal boundaries are merged.
     */
-  def numericFragments(apt: DataFrame, numericAttrs: Seq[String], nFragments: Int): Map[String, Seq[Double]] = {
-    if (numericAttrs.isEmpty) return Map.empty
-    val probs = (1 until nFragments).map(_.toDouble / nFragments).toArray
-    val qs = apt.na.drop(numericAttrs).stat.approxQuantile(numericAttrs.toArray, probs, 0.01)
-    numericAttrs.zip(qs.map(_.toSeq.distinct)).toMap
+  def numericFragments(apt: Apt.Local, numericAttrs: Seq[String], nFragments: Int): Map[String, Seq[Double]] = {
+    val cols = numericAttrs.map(apt.attrs.indexOf)
+    val complete = apt.rows.filter(r => cols.forall(c => !r(c).asInstanceOf[Double].isNaN))
+    val n = complete.length
+    numericAttrs.zip(cols).map { case (a, c) =>
+      val sorted = complete.map(_(c).asInstanceOf[Double]).sorted
+      val probs = if (n == 0) Nil else (1 until nFragments).map(_.toDouble / nFragments)
+      a -> probs.map(p => sorted(math.ceil(p * n).toInt - 1)).distinct
+    }.toMap
   }
 
   /** Greedy diverse selection by wscore (Section 3.5). */

@@ -1,8 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.Column
-import org.apache.spark.sql.functions._
-
 /** Summarization patterns (paper Definition 5): conjunctions of equality
   * predicates on categorical attributes and =/≤/≥ predicates on numeric
   * attributes. Attributes set to `*` are simply absent from `preds`.
@@ -22,12 +19,16 @@ object Pattern {
 
   /** One predicate `attr op value`. */
   final case class Pred(attr: String, op: Op, value: Value) {
-    def toColumn: Column = (op, value) match {
-      case (OpEq, CatV(s)) => col(attr) === lit(s)
-      case (OpEq, NumV(d)) => col(attr) === lit(d)
-      case (OpLe, NumV(d)) => col(attr) <= lit(d)
-      case (OpGe, NumV(d)) => col(attr) >= lit(d)
-      case (o, v)          => throw new IllegalStateException(s"bad pred $attr ${o.sym} $v")
+    require(op == OpEq || value.isInstanceOf[NumV], s"bad pred $attr${op.sym}${value.render}")
+
+    /** Whether `v`, in the driver encoding of [[repro.ml.LocalSample]]
+      * (numeric values as Double with NaN for null, categorical values as
+      * String), satisfies the predicate. Null and NaN never match.
+      */
+    def matches(v: Any): Boolean = (value, v) match {
+      case (CatV(s), x: String) => x == s
+      case (NumV(d), x: Double) => op match { case OpEq => x == d; case OpLe => x <= d; case OpGe => x >= d }
+      case _                    => false
     }
     def render: String = s"$attr${op.sym}${value.render}"
   }
@@ -43,9 +44,22 @@ object Pattern {
     def size: Int = preds.size
     def numericPredCount: Int = preds.count(_.value.isInstanceOf[NumV])
 
-    /** Spark filter expression for MATCH(Φ, R); empty pattern matches all. */
-    def toColumn: Column =
-      if (preds.isEmpty) lit(true) else preds.map(_.toColumn).reduce(_ && _)
+    /** Positions of the predicates' attributes in rows laid out as `attrs`. */
+    def columnsIn(attrs: Seq[String]): Array[Int] = preds.map { p =>
+      val i = attrs.indexOf(p.attr)
+      require(i >= 0, s"no attribute ${p.attr} among ${attrs.mkString(", ")}")
+      i
+    }.toArray
+
+    /** MATCH(Φ, r): every predicate holds on `row`, whose value of
+      * `preds(j).attr` is `row(cols(j))` (see `columnsIn`). The empty
+      * pattern matches every row.
+      */
+    def matches(row: Array[Any], cols: Array[Int]): Boolean = {
+      var j = 0
+      while (j < cols.length && preds(j).matches(row(cols(j)))) j += 1
+      j == cols.length
+    }
 
     /** Refinement (Section 3): adds one predicate on a fresh attribute. */
     def refined(p: Pred): Pattern = {

@@ -1,6 +1,6 @@
 package repro.ml
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.NumericType
 
@@ -33,10 +33,7 @@ object LocalSample {
     * via a hash-based sample at `fraction` before the cap is applied.
     */
   def collect(apt: DataFrame, attrCols: Seq[String], fraction: Double, cap: Int, seed: Long = 7): LocalSample = {
-    val fields = apt.schema.fields.map(f => f.name -> f).toMap
-    val attrs = attrCols.toVector.map { c =>
-      Attr(c, fields(c).dataType.isInstanceOf[NumericType])
-    }
+    val attrs = attrsOf(apt, attrCols)
     val projected = apt.select((attrCols :+ "grp").map(col): _*)
     val frac = math.min(1.0, math.max(fraction, 1e-6))
     val perGrp = math.max(1, cap / 2)
@@ -52,20 +49,33 @@ object LocalSample {
     val labels = Vector.newBuilder[Int]
     parts.zipWithIndex.foreach { case (rs, label) =>
       rs.foreach { r =>
-        val arr = new Array[Any](attrs.size)
-        var i = 0
-        while (i < attrs.size) {
-          val v = r.get(i)
-          arr(i) =
-            if (v == null) { if (attrs(i).numeric) Double.box(Double.NaN) else null }
-            else if (attrs(i).numeric) Double.box(v.asInstanceOf[Number].doubleValue)
-            else v.toString
-          i += 1
-        }
-        rows += arr
+        rows += encode(r, attrs)
         labels += label
       }
     }
     LocalSample(attrs, rows.result(), labels.result())
+  }
+
+  /** The attributes `cols` of `df`; an attribute is numeric iff its Spark
+    * type is.
+    */
+  def attrsOf(df: DataFrame, cols: Seq[String]): Vector[Attr] = {
+    val fields = df.schema.fields.map(f => f.name -> f).toMap
+    cols.toVector.map(c => Attr(c, fields(c).dataType.isInstanceOf[NumericType]))
+  }
+
+  /** The first `attrs.size` fields of `r` in the driver encoding. */
+  def encode(r: Row, attrs: Vector[Attr]): Array[Any] = {
+    val arr = new Array[Any](attrs.size)
+    var i = 0
+    while (i < attrs.size) {
+      val v = r.get(i)
+      arr(i) =
+        if (v == null) { if (attrs(i).numeric) Double.box(Double.NaN) else null }
+        else if (attrs(i).numeric) Double.box(v.asInstanceOf[Number].doubleValue)
+        else v.toString
+      i += 1
+    }
+    arr
   }
 }

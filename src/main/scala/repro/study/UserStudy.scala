@@ -80,7 +80,7 @@ object UserStudy {
   )
 
   /** Computes exact quality metrics for every study explanation, sharing
-    * one APT materialization per distinct join graph.
+    * one collected APT per distinct join graph.
     */
   def evaluate(db: Database, q: Query.QuerySpec, uq: Query.UserQuestion,
                expls: Seq[StudyExplanation] = explanations): Seq[(StudyExplanation, Metrics.Quality)] = {
@@ -88,11 +88,10 @@ object UserStudy {
     try {
       val (n1, n2) = Metrics.provSizes(pt)
       expls.groupBy(_.jg.canonical).values.toSeq.flatMap { grp =>
-        val apt = Apt.materialize(db, q, pt, grp.head.jg).cache()
-        try {
-          val cov = Metrics.coverage(apt, grp.map(_.pattern))
-          grp.zip(cov).map { case (e, c) => (e, Metrics.quality(c, n1, n2, e.primary)) }
-        } finally apt.unpersist()
+        val attrs = grp.flatMap(_.pattern.preds.map(_.attr)).distinct
+        val apt = Apt.collect(Apt.materialize(db, q, pt, grp.head.jg), attrs)
+        val cov = Metrics.coverage(apt, grp.map(_.pattern))
+        grp.zip(cov).map { case (e, c) => (e, Metrics.quality(c, n1, n2, e.primary)) }
       }.sortBy(r => expls.indexWhere(_.label == r._1.label))
     } finally pt.unpersist()
   }

@@ -14,8 +14,12 @@ class CajadeSpec extends SparkSpec {
   private val fast = Params(maxEdges = 2, maxJoinGraphs = 12, topK = 5,
     f1SampleRate = 1.0, qCostThreshold = 5e5)
 
+  /** The UQ₁ result, shared by the three tests that only read it. */
+  private lazy val uq1 =
+    Cajade.explain(nba, Nba.qNba4, Nba.seasonQuestion(Nba.qNba4, "2015-16", "2012-13"), fast)
+
   test("UQ₁ (GSW 2015-16 vs 2012-13) produces ranked explanations") {
-    val res = Cajade.explain(nba, Nba.qNba4, Nba.seasonQuestion(Nba.qNba4, "2015-16", "2012-13"), fast)
+    val res = uq1
     assert(res.joinGraphCount > 1)
     val top = res.topExplanations(10)
     assert(top.nonEmpty)
@@ -25,13 +29,13 @@ class CajadeSpec extends SparkSpec {
   }
 
   test("UQ₁ top explanations include context (non-PT) attributes") {
-    val res = Cajade.explain(nba, Nba.qNba4, Nba.seasonQuestion(Nba.qNba4, "2015-16", "2012-13"), fast)
+    val res = uq1
     val top = res.topExplanations(10)
     assert(top.exists(e => e.pattern.preds.exists(p => p.attr.startsWith("a"))))
   }
 
   test("global ranking dedupes identical patterns from different graphs") {
-    val res = Cajade.explain(nba, Nba.qNba4, Nba.seasonQuestion(Nba.qNba4, "2015-16", "2012-13"), fast)
+    val res = uq1
     val top = res.topExplanations(20)
     val keys = top.map(e => (e.pattern, e.quality.primary))
     assert(keys.distinct.size == keys.size)

@@ -98,15 +98,46 @@ class MineSpec extends SparkSpec {
   test("numeric fragments return λ_#frag−1 interior boundaries") {
     import spark.implicits._
     val df = (1 to 100).map(i => (i.toLong, "t1", i.toDouble)).toDF("pt_id", "grp", "v")
-    val frags = Mine.numericFragments(df, Seq("v"), nFragments = 4)
+    val frags = Mine.numericFragments(Apt.collect(df, Seq("v")), Seq("v"), nFragments = 4)
     assert(frags("v").size <= 3 && frags("v").nonEmpty)
     assert(frags("v").forall(b => b >= 1 && b <= 100))
   }
   test("fragments of a constant column collapse") {
     import spark.implicits._
     val df = (1 to 50).map(i => (i.toLong, "t1", 7.0)).toDF("pt_id", "grp", "v")
-    val frags = Mine.numericFragments(df, Seq("v"), 4)
+    val frags = Mine.numericFragments(Apt.collect(df, Seq("v")), Seq("v"), 4)
     assert(frags("v") == Seq(7.0))
+  }
+  test("fragment boundaries are the sorted values at ⌈p·n⌉−1 over rows without nulls") {
+    import spark.implicits._
+    // v = 10, 9, …, 1 plus two rows with a null: those two rows are dropped
+    // for both attributes, so n = 10 and p = 1/4, 2/4, 3/4 give indexes 2, 4, 7.
+    val df = ((1 to 10).map(i => (i.toLong, "t1", Option(11.0 - i), Option(i * 100.0))) ++
+      Seq((11L, "t2", Option(50.0), None), (12L, "t2", None, Option(0.0))))
+      .toDF("pt_id", "grp", "v", "w")
+    val frags = Mine.numericFragments(Apt.collect(df, Seq("v", "w")), Seq("v", "w"), nFragments = 4)
+    assert(frags("v") == Seq(3.0, 5.0, 8.0))
+    assert(frags("w") == Seq(300.0, 500.0, 800.0))
+    // n = 3, p = 1/5 … 4/5: indexes 0, 1, 1, 2, merged to three boundaries.
+    val small = (1 to 3).map(i => (i.toLong, "t1", i.toDouble)).toDF("pt_id", "grp", "v")
+    assert(Mine.numericFragments(Apt.collect(small, Seq("v")), Seq("v"), 5)("v") == Seq(1.0, 2.0, 3.0))
+  }
+
+  // ---- λ_F1-samp ----------------------------------------------------------
+
+  test("the local F1 sample keeps exactly the pt_ids Spark's xxhash64 filter keeps") {
+    import org.apache.spark.sql.functions.{col, lit, pmod, xxhash64}
+    // monotonically_increasing_id puts the partition index above bit 33.
+    val ids = spark.range(0, 20000)
+      .select((col("id") * 7919L + (col("id") % 5L) * (1L << 33) - 3000L).as("pt_id")).cache()
+    val all = ids.collect().map(_.getLong(0))
+    for (rate <- Seq(0.3, 0.05); seed <- Seq(42L, 7L)) {
+      val kept = ids.filter(pmod(xxhash64(col("pt_id"), lit(seed)), lit(10000)) < lit((rate * 10000).toInt))
+        .collect().map(_.getLong(0)).toSet
+      assert(kept.nonEmpty && kept.size < all.length)
+      assert(all.filter(Mine.inF1Sample(_, rate, seed)).toSet == kept, s"rate $rate seed $seed")
+    }
+    ids.unpersist()
   }
 
   // ---- diverse top-k ------------------------------------------------------

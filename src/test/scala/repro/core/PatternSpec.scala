@@ -1,8 +1,10 @@
 package repro.core
 
-import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.{col, when}
 import repro.SparkSpec
 import repro.core.Pattern._
+import repro.ml.LocalSample
 
 /** Unit tests for summarization patterns (Definition 5) and the diversity
   * score of Section 3.5.
@@ -14,8 +16,15 @@ class PatternSpec extends SparkSpec {
     ("a", 1.0, "x"), ("a", 5.0, "y"), ("b", 3.0, "x"), ("b", 7.0, "y"), ("c", 9.0, "x"),
   ).toDF("cat", "num", "tag").cache()
 
-  // the wildcard import brings the inner Pattern case class into scope
-  private def matchCount(p: repro.core.Pattern.Pattern): Long = df.filter(p.toColumn).count()
+  /** Rows of `frame` that `p` matches, over the frame's rows in the driver
+    * encoding. The wildcard import brings the inner Pattern case class into
+    * scope, hence the qualified type.
+    */
+  private def matchCount(p: repro.core.Pattern.Pattern, frame: DataFrame = df): Long = {
+    val attrs = LocalSample.attrsOf(frame, frame.columns.toSeq)
+    val cols = p.columnsIn(frame.columns.toSeq)
+    frame.collect().count(r => p.matches(LocalSample.encode(r, attrs), cols)).toLong
+  }
 
   test("empty pattern matches every tuple") { assert(matchCount(Pattern.empty) == 5) }
   test("categorical equality matches exactly") {
@@ -108,11 +117,19 @@ class PatternSpec extends SparkSpec {
   test("pattern columns resolve against real APT-style frames") {
     val named = df.withColumnRenamed("cat", "a1_cat")
     val p = Pattern.of(Pred("a1_cat", OpEq, CatV("a")))
-    assert(named.filter(p.toColumn).count() == 2)
+    assert(matchCount(p, named) == 2)
   }
   test("null attribute values never match any predicate") {
-    val withNull = df.withColumn("cat2",
-      org.apache.spark.sql.functions.when(col("cat") === "a", col("cat")))
-    assert(withNull.filter(Pattern.of(Pred("cat2", OpEq, CatV("b"))).toColumn).count() == 0)
+    val withNull = df.withColumn("cat2", when(col("cat") === "a", col("cat")))
+    assert(matchCount(Pattern.of(Pred("cat2", OpEq, CatV("b"))), withNull) == 0)
+  }
+  test("a null numeric value matches no numeric predicate") {
+    val withNull = df.withColumn("num2", when(col("num") > 4.0, col("num")))
+    assert(matchCount(Pattern.of(Pred("num2", OpLe, NumV(100.0))), withNull) == 3)
+    assert(matchCount(Pattern.of(Pred("num2", OpGe, NumV(-100.0))), withNull) == 3)
+  }
+  test("a categorical constant never equals a numeric value") {
+    assert(!Pred("num", OpEq, CatV("1.0")).matches(Double.box(1.0)))
+    intercept[IllegalArgumentException] { Pred("cat", OpLe, CatV("a")) }
   }
 }
