@@ -1,7 +1,7 @@
 package repro.baseline
 
 import org.apache.spark.sql.DataFrame
-import repro.core.Pattern
+import repro.core.{Apt, Pattern}
 import repro.ml.LocalSample
 
 /** Explanation Tables baseline (Gebaly et al. [19], compared against in
@@ -108,7 +108,7 @@ object ExplanationTables {
     * and the wall-clock seconds — the quantity Figure 11 compares.
     */
   def run(apt: DataFrame, attrCols: Seq[String], sampleSize: Int, k: Int = 20): (Seq[EtPattern], Double) = {
-    val sample = LocalSample.collect(apt, attrCols, 1.0, sampleSize)
+    val sample = LocalSample.draw(Apt.collect(apt, attrCols), 1.0, sampleSize, seed = 7)
     val t0 = System.nanoTime()
     val out = summarize(sample, k)
     (out, (System.nanoTime() - t0) / 1e9)

@@ -52,19 +52,27 @@ object Apt {
   }
 
   /** An APT (or a PT) projected to some attributes and collected to the
-    * driver, sorted by (pt_id, grp) so the rows of one PT tuple are
-    * contiguous. Row i derives from PT tuple `ptIds(i)` of question tuple
+    * driver. Its row order does not depend on Spark's partitioning: by
+    * (pt_id, grp), so the rows of one PT tuple are contiguous, then by the
+    * values. Row i derives from PT tuple `ptIds(i)` of question tuple
     * `labels(i)` (0 = t1, 1 = t2); its values, one per attribute of `attrs`,
     * use [[LocalSample]]'s encoding.
     */
-  final class Local(val attrs: Vector[String], val ptIds: Array[Long], val labels: Array[Int],
+  final class Local(val attrs: Vector[LocalSample.Attr], val ptIds: Array[Long], val labels: Array[Int],
                     val rows: Array[Array[Any]]) {
+    val names: Vector[String] = attrs.map(_.name)
     def size: Int = rows.length
 
     /** The rows of the PT tuples whose pt_id satisfies `keep`. */
     def filter(keep: Long => Boolean): Local = {
       val idx = ptIds.indices.filter(i => keep(ptIds(i))).toArray
       new Local(attrs, idx.map(ptIds), idx.map(labels), idx.map(rows))
+    }
+
+    /** Every row, restricted to the attributes `cols`. */
+    def project(cols: Seq[String]): Local = {
+      val idx = cols.map(names.indexOf).toArray
+      new Local(idx.map(attrs).toVector, ptIds, labels, rows.map(r => idx.map(r)))
     }
   }
 
@@ -78,8 +86,18 @@ object Apt {
       .map { r =>
         (r.getLong(cols.size), if (r.getString(cols.size + 1) == "t1") 0 else 1, LocalSample.encode(r, attrs))
       }
-      .sortBy(r => (r._1, r._2))
-    new Local(cols.toVector, rows.map(_._1), rows.map(_._2), rows.map(_._3))
+      .sortBy(r => (r._1, r._2, r._3.toSeq))(rowOrder)
+    new Local(attrs, rows.map(_._1), rows.map(_._2), rows.map(_._3))
+  }
+
+  /** Values compare with null and NaN first, then in their natural order. */
+  private val rowOrder: Ordering[(Long, Int, Seq[Any])] = {
+    val value = Ordering.by[Any, (Boolean, Double, String)] {
+      case d: java.lang.Double if !d.isNaN => (true, d.doubleValue, "")
+      case s: String => (true, 0.0, s)
+      case _ => (false, 0.0, "")
+    }(Ordering.Tuple3(Ordering.Boolean, Ordering.Double.TotalOrdering, Ordering.String))
+    Ordering.Tuple3(Ordering.Long, Ordering.Int, Ordering.Implicits.seqOrdering[Seq, Any](value))
   }
 
   /** The Spark join condition for one join-graph edge. */

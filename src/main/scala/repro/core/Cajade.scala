@@ -31,12 +31,12 @@ object Cajade {
               timer: Mine.StepTimer = new Mine.StepTimer): Result = {
     val pt: DataFrame = Query.questionProvenance(db, q, uq).cache()
     try {
-      val ptRows = pt.count()
+      val ptTuples = Apt.collect(pt, Nil)
       val graphs = timer.time("JG Enum.") {
-        Enumerate.enumerate(db, q, params, ptRows)
+        Enumerate.enumerate(db, q, params, ptTuples.size)
       }
       val perGraph = graphs.map { jg =>
-        jg -> Mine.mineJoinGraph(db, q, pt, jg, params, timer)
+        jg -> Mine.mineJoinGraph(db, q, pt, ptTuples, jg, params, timer)
       }
       val all = perGraph.flatMap(_._2.explanations).sortBy(-_.fscore)
       Result(all, perGraph, graphs.size, timer)

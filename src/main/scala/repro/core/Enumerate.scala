@@ -16,20 +16,16 @@ object Enumerate {
   /** Cheap cardinality model replacing the DBMS optimizer estimate: the
     * expected APT size is |PT| times the fan-out of every node-adding join,
     * where fan-out of joining into relation S on attributes A is
-    * |S| / ndv(S, A). Relation sizes and NDVs are computed once and cached.
+    * |S| / ndv(S, A). Both come from one aggregate per (S, A), cached.
     */
   final class CostModel(db: Database) {
-    private val rowCounts = scala.collection.mutable.Map.empty[String, Long]
-    private val ndvCache = scala.collection.mutable.Map.empty[(String, Seq[String]), Long]
+    private val fanOuts = scala.collection.mutable.Map.empty[(String, Seq[String]), Double]
 
-    def rows(rel: String): Long =
-      rowCounts.getOrElseUpdate(rel, db(rel).count())
-
-    def ndv(rel: String, attrs: Seq[String]): Long =
-      ndvCache.getOrElseUpdate((rel, attrs.sorted), {
-        import org.apache.spark.sql.functions.{approx_count_distinct, concat_ws, col}
-        val c = db(rel).agg(approx_count_distinct(concat_ws("§", attrs.map(col): _*))).head().getLong(0)
-        math.max(1L, c)
+    private def fanOut(rel: String, attrs: Seq[String]): Double =
+      fanOuts.getOrElseUpdate((rel, attrs.sorted), {
+        import org.apache.spark.sql.functions.{approx_count_distinct, concat_ws, col, count, lit}
+        val r = db(rel).agg(count(lit(1)), approx_count_distinct(concat_ws("§", attrs.map(col): _*))).head()
+        r.getLong(0).toDouble / math.max(1L, r.getLong(1))
       })
 
     /** Estimated APT rows for `jg` given |PT| = ptRows. */
@@ -38,9 +34,7 @@ object Enumerate {
       var est = ptRows.toDouble
       jg.edges.foreach { e =>
         if (!seen(e.toNode)) {
-          val rel = jg.relOf(e.toNode)
-          val toAttrs = e.cond.pairs.map(_._2)
-          est *= rows(rel).toDouble / ndv(rel, toAttrs)
+          est *= fanOut(jg.relOf(e.toNode), e.cond.pairs.map(_._2))
           seen += e.toNode
         }
         // Parallel edges between existing nodes only filter — estimate is

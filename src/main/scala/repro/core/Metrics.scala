@@ -8,9 +8,10 @@ import org.apache.spark.sql.functions._
   * A PT tuple t' of output t is *covered* by (Ω, Φ) if at least one APT row
   * derived from t' matches Φ. Coverage is therefore counted per distinct
   * `pt_id`, never per APT row. It is computed on the driver over an APT
-  * collected once per join graph ([[Apt.collect]]): after feature selection
-  * the APT holds a few columns and at most some thousands of rows, so a
-  * row scan per pattern is cheaper than any Spark job.
+  * collected once per join graph ([[Apt.collect]]) and projected to the
+  * attributes feature selection kept: a few columns of at most some
+  * thousands of rows, so a row scan per pattern is cheaper than any Spark
+  * job.
   */
 object Metrics {
 
@@ -41,7 +42,7 @@ object Metrics {
     * PT tuple's rows are contiguous.
     */
   def coverage(apt: Apt.Local, patterns: Seq[Pattern.Pattern]): Seq[Coverage] = patterns.map { p =>
-    val cols = p.columnsIn(apt.attrs)
+    val cols = p.columnsIn(apt.names)
     val counts = Array(0L, 0L)
     var i = 0
     while (i < apt.size) {

@@ -10,11 +10,13 @@ import repro.ml.LocalSample
   * Phases: (i) sample + feature selection, (ii) LCA candidates over
   * categorical attributes, (iii) recall filtering with the monotonicity
   * pruning of Proposition 3.1, (iv) numeric refinement over domain
-  * fragments, (v) diverse top-k by wscore. After feature selection the APT
-  * is collected to the driver once ([[Apt.collect]]), and every later step
-  * reads that table: candidate evaluation and fragment boundaries use its
-  * pt_id-sampled rows (λ_F1-samp), and the returned top-k is re-scored
-  * exactly on all its rows so reported supports are precise.
+  * fragments, (v) diverse top-k by wscore. A join graph costs one Spark
+  * action: before feature selection its APT is collected to the driver with
+  * every pattern column ([[Apt.collect]]), and every later step reads that
+  * table. The feature-selection and LCA sample is drawn from it
+  * ([[LocalSample.draw]]); candidates and fragment boundaries are computed
+  * over its selected attributes and pt_id-sampled rows (λ_F1-samp); the
+  * top-k is re-scored exactly on all its rows.
   */
 object Mine {
 
@@ -49,123 +51,119 @@ object Mine {
   final case class MineResult(explanations: Seq[Explanation], aptStats: AptStats)
 
   /** Mines the top-k patterns for join graph `jg` over the provenance `pt`
-    * of the user question (a frame with prov_ columns, `pt_id`, `grp`).
+    * of the user question (a frame with prov_ columns, `pt_id`, `grp`),
+    * whose PT tuples the caller collected once as `ptTuples`
+    * (`Apt.collect(pt, Nil)`).
     */
-  def mineJoinGraph(db: Schema.Database, q: Query.QuerySpec, pt: DataFrame,
+  def mineJoinGraph(db: Schema.Database, q: Query.QuerySpec, pt: DataFrame, ptTuples: Apt.Local,
                     jg: Schema.JoinGraph, params: Params,
                     timer: StepTimer = new StepTimer): MineResult = {
-    val (apt, aptRows) = timer.time("Materialize APTs") {
-      val a = Apt.materialize(db, q, pt, jg).cache()
-      (a, a.count())
+    val table = timer.time("Materialize APTs") {
+      val apt = Apt.materialize(db, q, pt, jg)
+      Apt.collect(apt, Apt.patternColumns(apt, q))
     }
-    try {
-      val attrCols = Apt.patternColumns(apt, q)
-      val stats = AptStats(aptRows, attrCols.size)
-      val ptTuples = Apt.collect(pt, Nil)
-      val Metrics.Coverage(n1, n2) = tupleCounts(ptTuples)
-      if (n1 == 0 || n2 == 0) return MineResult(Nil, stats)
+    val stats = AptStats(table.size, table.attrs.size)
+    val Metrics.Coverage(n1, n2) = tupleCounts(ptTuples)
+    if (n1 == 0 || n2 == 0) return MineResult(Nil, stats)
 
-      // Sampling for F-score calculation: a deterministic pt_id-hash sample
-      // of whole PT tuples, so per-tuple coverage stays well defined.
-      val (inSample, en1, en2) = timer.time("Sampling for F1") {
-        val all = ((_: Long) => true, n1, n2)
-        if (params.f1SampleRate >= 1.0) all
-        else {
-          val keep = (ptId: Long) => inF1Sample(ptId, params.f1SampleRate, params.seed)
-          val Metrics.Coverage(s1, s2) = tupleCounts(ptTuples.filter(keep))
-          if (s1 == 0 || s2 == 0) all else (keep, s1, s2)
-        }
+    // Sampling for F-score calculation: a deterministic pt_id-hash sample
+    // of whole PT tuples, so per-tuple coverage stays well defined.
+    val (inSample, en1, en2) = timer.time("Sampling for F1") {
+      val all = ((_: Long) => true, n1, n2)
+      if (params.f1SampleRate >= 1.0) all
+      else {
+        val keep = (ptId: Long) => inF1Sample(ptId, params.f1SampleRate, params.seed)
+        val Metrics.Coverage(s1, s2) = tupleCounts(ptTuples.filter(keep))
+        if (s1 == 0 || s2 == 0) all else (keep, s1, s2)
       }
+    }
 
-      val sample = timer.time("Feature Selection") {
-        LocalSample.collect(apt, attrCols, params.patSampleRate, params.patSampleCap, params.seed)
-      }
-      val selected = timer.time("Feature Selection") {
-        FeatureSelect.filterAttrs(sample, params)
-      }
+    val sample = timer.time("Feature Selection") {
+      LocalSample.draw(table, params.patSampleRate, params.patSampleCap, params.seed)
+    }
+    val selected = timer.time("Feature Selection") {
+      FeatureSelect.filterAttrs(sample, params)
+    }
 
-      val (fullApt, evalApt) = timer.time("Sampling for F1") {
-        val t = Apt.collect(apt, selected.categorical ++ selected.numeric)
-        (t, t.filter(inSample))
-      }
+    val (fullApt, evalApt) = timer.time("Sampling for F1") {
+      val t = table.project(selected.categorical ++ selected.numeric)
+      (t, t.filter(inSample))
+    }
 
-      val catCandidates = timer.time("Gen. Pat. Cand.") {
-        Lca.candidates(sample, selected.categorical, params.maxCatPreds)
-      }
+    val catCandidates = timer.time("Gen. Pat. Cand.") {
+      Lca.candidates(sample, selected.categorical, params.maxCatPreds)
+    }
 
-      // Recall-filter LCA candidates against the (sampled) APT and promote
-      // the k_cat best by recall (either orientation), plus the empty
-      // pattern as the root for numeric-only refinements.
-      val catQuality = timer.time("F-score Calc.") {
-        evaluate(evalApt, catCandidates, en1, en2)
+    // Recall-filter LCA candidates against the (sampled) APT and promote
+    // the k_cat best by recall (either orientation), plus the empty
+    // pattern as the root for numeric-only refinements.
+    val catQuality = timer.time("F-score Calc.") {
+      evaluate(evalApt, catCandidates, en1, en2)
+    }
+    val promoted: Seq[Pattern.Pattern] = catQuality
+      .filter { case (_, q1, q2) => q1.recall >= params.recallThreshold || q2.recall >= params.recallThreshold }
+      .sortBy { case (_, q1, q2) => -math.max(q1.recall, q2.recall) }
+      .take(params.kCat)
+      .map(_._1)
+
+    val fragments: Map[String, Seq[Double]] = timer.time("Refine Patterns") {
+      numericFragments(evalApt, selected.numeric, params.nFragments)
+    }
+
+    val all = scala.collection.mutable.ArrayBuffer.empty[(Pattern.Pattern, Metrics.Quality)]
+    catQuality.foreach { case (p, q1, q2) => all += ((p, q1)) += ((p, q2)) }
+
+    // Level-wise numeric refinement with monotonicity pruning: a pattern
+    // whose recall is below λ_recall for both orientations cannot yield a
+    // useful refinement (Proposition 3.1) and is dropped from the beam.
+    var frontier: Seq[Pattern.Pattern] = promoted :+ Pattern.Pattern.empty
+    val done = scala.collection.mutable.Set.empty[Pattern.Pattern]
+    done ++= catCandidates
+    done += Pattern.Pattern.empty
+    var level = 0
+    while (frontier.nonEmpty && level < params.maxNumericPreds) {
+      val expansions = timer.time("Refine Patterns") {
+        (for {
+          p <- frontier
+          if p.numericPredCount < params.maxNumericPreds
+          a <- selected.numeric
+          if !p.attrs(a)
+          op <- Seq(Pattern.OpLe, Pattern.OpGe)
+          c <- fragments.getOrElse(a, Nil)
+        } yield p.refined(Pattern.Pred(a, op, Pattern.NumV(c))))
+          .distinct.filterNot(done)
+          .take(4096) // blow-up guard for the Naive (no feature selection) configuration
       }
-      val promoted: Seq[Pattern.Pattern] = catQuality
+      done ++= expansions
+      val evaluated = timer.time("F-score Calc.") {
+        evaluate(evalApt, expansions, en1, en2)
+      }
+      evaluated.foreach { case (p, q1, q2) => all += ((p, q1)) += ((p, q2)) }
+      frontier = evaluated
         .filter { case (_, q1, q2) => q1.recall >= params.recallThreshold || q2.recall >= params.recallThreshold }
-        .sortBy { case (_, q1, q2) => -math.max(q1.recall, q2.recall) }
-        .take(params.kCat)
+        .sortBy { case (_, q1, q2) => -math.max(q1.fscore, q2.fscore) }
+        .take(params.maxFrontier)
         .map(_._1)
-
-      val fragments: Map[String, Seq[Double]] = timer.time("Refine Patterns") {
-        numericFragments(evalApt, selected.numeric, params.nFragments)
-      }
-
-      val all = scala.collection.mutable.ArrayBuffer.empty[(Pattern.Pattern, Metrics.Quality)]
-      catQuality.foreach { case (p, q1, q2) => all += ((p, q1)) += ((p, q2)) }
-
-      // Level-wise numeric refinement with monotonicity pruning: a pattern
-      // whose recall is below λ_recall for both orientations cannot yield a
-      // useful refinement (Proposition 3.1) and is dropped from the beam.
-      var frontier: Seq[Pattern.Pattern] = promoted :+ Pattern.Pattern.empty
-      val done = scala.collection.mutable.Set.empty[Pattern.Pattern]
-      done ++= catCandidates
-      done += Pattern.Pattern.empty
-      var level = 0
-      while (frontier.nonEmpty && level < params.maxNumericPreds) {
-        val expansions = timer.time("Refine Patterns") {
-          (for {
-            p <- frontier
-            if p.numericPredCount < params.maxNumericPreds
-            a <- selected.numeric
-            if !p.attrs(a)
-            op <- Seq(Pattern.OpLe, Pattern.OpGe)
-            c <- fragments.getOrElse(a, Nil)
-          } yield p.refined(Pattern.Pred(a, op, Pattern.NumV(c))))
-            .distinct.filterNot(done)
-            .take(4096) // blow-up guard for the Naive (no feature selection) configuration
-        }
-        done ++= expansions
-        val evaluated = timer.time("F-score Calc.") {
-          evaluate(evalApt, expansions, en1, en2)
-        }
-        evaluated.foreach { case (p, q1, q2) => all += ((p, q1)) += ((p, q2)) }
-        frontier = evaluated
-          .filter { case (_, q1, q2) => q1.recall >= params.recallThreshold || q2.recall >= params.recallThreshold }
-          .sortBy { case (_, q1, q2) => -math.max(q1.fscore, q2.fscore) }
-          .take(params.maxFrontier)
-          .map(_._1)
-        level += 1
-      }
-
-      // Diverse top-k (Section 3.5) on the estimated scores. Patterns that
-      // cover the entire provenance of BOTH tuples separate nothing — they
-      // are tautologies like `flag<=1` — and are excluded.
-      val candidates = all.toSeq
-        .filter { case (p, qu) => !p.isEmpty && qu.recall >= params.recallThreshold }
-        .filterNot { case (_, qu) =>
-          qu.support1._1 == qu.support1._2 && qu.support2._1 == qu.support2._2 }
-      val picked = selectDiverse(candidates, params.topK)
-
-      // …then exact re-scoring of just the winners on the full APT.
-      val exact = timer.time("F-score Calc.") {
-        val cov = Metrics.coverage(fullApt, picked.map(_._1))
-        picked.zip(cov).map { case ((p, qu), c) =>
-          Explanation(jg, p, Metrics.quality(c, n1, n2, qu.primary))
-        }
-      }
-      MineResult(exact.sortBy(-_.fscore), stats)
-    } finally {
-      apt.unpersist()
+      level += 1
     }
+
+    // Diverse top-k (Section 3.5) on the estimated scores. Patterns that
+    // cover the entire provenance of BOTH tuples separate nothing — they
+    // are tautologies like `flag<=1` — and are excluded.
+    val candidates = all.toSeq
+      .filter { case (p, qu) => !p.isEmpty && qu.recall >= params.recallThreshold }
+      .filterNot { case (_, qu) =>
+        qu.support1._1 == qu.support1._2 && qu.support2._1 == qu.support2._2 }
+    val picked = selectDiverse(candidates, params.topK)
+
+    // …then exact re-scoring of just the winners on the full APT.
+    val exact = timer.time("F-score Calc.") {
+      val cov = Metrics.coverage(fullApt, picked.map(_._1))
+      picked.zip(cov).map { case ((p, qu), c) =>
+        Explanation(jg, p, Metrics.quality(c, n1, n2, qu.primary))
+      }
+    }
+    MineResult(exact.sortBy(-_.fscore), stats)
   }
 
   /** Distinct PT tuples of t1 and of t2 in a collected APT. */
@@ -194,7 +192,7 @@ object Mine {
     * at index ⌈p·n⌉−1. Equal boundaries are merged.
     */
   def numericFragments(apt: Apt.Local, numericAttrs: Seq[String], nFragments: Int): Map[String, Seq[Double]] = {
-    val cols = numericAttrs.map(apt.attrs.indexOf)
+    val cols = numericAttrs.map(apt.names.indexOf)
     val complete = apt.rows.filter(r => cols.forall(c => !r(c).asInstanceOf[Double].isNaN))
     val n = complete.length
     numericAttrs.zip(cols).map { case (a, c) =>

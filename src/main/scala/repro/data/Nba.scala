@@ -444,6 +444,14 @@ object Nba {
     agg = CountStar("win"),
   )
 
+  /** PT(g) – player_game_stats – player of Q_nba4: the ET comparison of
+    * Figure 11 and Table 10, and the user-study explanations of Table 7. */
+  val playerGameStatsJg: JoinGraph = JoinGraph(
+    Vector(JGNode(0, "PT"), JGNode(1, "player_game_stats"), JGNode(2, "player")),
+    Vector(
+      JGEdge(0, 1, Some("g"), JoinCond(Seq("game_date" -> "game_date", "home_id" -> "home_id"))),
+      JGEdge(1, 2, None, JoinCond(Seq("player_id" -> "player_id")))))
+
   /** Q_nba5 — Jimmy Butler's average points per season. */
   val qNba5: QuerySpec = playerPointsQuery("Jimmy Butler", "Q_nba5")
 

@@ -144,17 +144,14 @@ object Tables {
     val q = Nba.qNba4
     val uq = Nba.seasonQuestion(q, "2015-16", "2012-13")
     val pt = Query.questionProvenance(db, q, uq).cache()
-    val jg = JoinGraph(
-      Vector(JGNode(0, "PT"), JGNode(1, "player_game_stats"), JGNode(2, "player")),
-      Vector(
-        JGEdge(0, 1, Some("g"), JoinCond(Seq("game_date" -> "game_date", "home_id" -> "home_id"))),
-        JGEdge(1, 2, None, JoinCond(Seq("player_id" -> "player_id")))))
+    val jg = Nba.playerGameStatsJg
     val apt = Apt.materialize(db, q, pt, jg).cache()
     apt.count()
     val attrs = Apt.patternColumns(apt, q).filterNot(c => c.endsWith("_id") || c.endsWith("game_date"))
 
+    val ptTuples = Apt.collect(pt, Nil)
     val t0 = System.nanoTime()
-    Mine.mineJoinGraph(db, q, pt, jg, benchParams.copy(f1SampleRate = 0.3))
+    Mine.mineJoinGraph(db, q, pt, ptTuples, jg, benchParams.copy(f1SampleRate = 0.3))
     val cajadeSec = (System.nanoTime() - t0) / 1e9
 
     val rows = Seq(16, 32, 64, 128, 256, 512).map { n =>
@@ -227,11 +224,7 @@ object Tables {
     val q = Nba.qNba4
     val uq = Nba.seasonQuestion(q, "2015-16", "2012-13")
     val pt = Query.questionProvenance(db, q, uq).cache()
-    val jg = JoinGraph(
-      Vector(JGNode(0, "PT"), JGNode(1, "player_game_stats"), JGNode(2, "player")),
-      Vector(
-        JGEdge(0, 1, Some("g"), JoinCond(Seq("game_date" -> "game_date", "home_id" -> "home_id"))),
-        JGEdge(1, 2, None, JoinCond(Seq("player_id" -> "player_id")))))
+    val jg = Nba.playerGameStatsJg
     val apt = Apt.materialize(db, q, pt, jg).cache()
     val attrs = Apt.patternColumns(apt, q).filterNot(c => c.endsWith("_id") || c.endsWith("game_date"))
     val (pats, sec) = ExplanationTables.run(apt, attrs, sampleSize = 128, k = 20)

@@ -1,21 +1,20 @@
 package repro.ml
 
 import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.NumericType
+import repro.core.Apt
 
 /** A small, driver-local sample of an APT, used by the sample-based steps
   * of the mining pipeline (feature relevance, attribute clustering, LCA
-  * candidate generation). Numeric attributes are stored as Double (NaN for
-  * null), categoricals as String (null preserved).
+  * candidate generation). It is drawn on the driver from the APT collected
+  * by [[Apt.collect]] ([[LocalSample.draw]]). Numeric attributes are stored
+  * as Double (NaN for null), categoricals as String (null preserved).
   */
 final case class LocalSample(
     attrs: Vector[LocalSample.Attr],
     rows: Vector[Array[Any]],
     labels: Vector[Int], // 0 = provenance of t1, 1 = provenance of t2
 ) {
-  def numericAttrs: Vector[LocalSample.Attr] = attrs.filter(_.numeric)
-  def categoricalAttrs: Vector[LocalSample.Attr] = attrs.filterNot(_.numeric)
   def attrIndex(name: String): Int = attrs.indexWhere(_.name == name)
   def size: Int = rows.size
 
@@ -28,32 +27,24 @@ final case class LocalSample(
 object LocalSample {
   final case class Attr(name: String, numeric: Boolean)
 
-  /** Collects up to `cap` rows of `apt` (stratified: cap/2 per question
-    * tuple) over the given attribute columns plus `grp`, deterministically
-    * via a hash-based sample at `fraction` before the cap is applied.
+  /** The λ_pat-samp sample of a collected APT. Every row draws a uniform
+    * key from `seed`, in table order. Per question tuple, the sample is the
+    * rows whose key is below `fraction`, at most cap/2 of them (smallest
+    * keys first). A group yielding fewer than min(cap/2, 30) rows would
+    * starve feature selection and LCA; it yields its cap/2 smallest-key
+    * rows instead. Rows of t1 come first, each group in table order.
     */
-  def collect(apt: DataFrame, attrCols: Seq[String], fraction: Double, cap: Int, seed: Long = 7): LocalSample = {
-    val attrs = attrsOf(apt, attrCols)
-    val projected = apt.select((attrCols :+ "grp").map(col): _*)
-    val frac = math.min(1.0, math.max(fraction, 1e-6))
+  def draw(table: Apt.Local, fraction: Double, cap: Int, seed: Long): LocalSample = {
+    val rnd = new scala.util.Random(seed)
+    val keys = Array.fill(table.size)(rnd.nextDouble())
     val perGrp = math.max(1, cap / 2)
-    val parts = Seq("t1", "t2").map { g =>
-      val base = projected.filter(col("grp") === g)
-      val sampled = if (frac >= 1.0) base else base.sample(withReplacement = false, frac, seed)
-      val rows = sampled.limit(perGrp).collect()
-      // A fractional sample of a tiny group can come back (near-)empty and
-      // would starve feature selection and LCA; fall back to the full group.
-      if (rows.length >= math.min(perGrp, 30)) rows else base.limit(perGrp).collect()
+    def smallest(rows: Seq[Int]): Seq[Int] = rows.sortBy(keys(_)).take(perGrp).sorted
+    val idx = Seq(0, 1).flatMap { label =>
+      val group = table.labels.indices.filter(table.labels(_) == label)
+      val sampled = smallest(group.filter(keys(_) < fraction))
+      if (sampled.size >= math.min(perGrp, 30)) sampled else smallest(group)
     }
-    val rows = Vector.newBuilder[Array[Any]]
-    val labels = Vector.newBuilder[Int]
-    parts.zipWithIndex.foreach { case (rs, label) =>
-      rs.foreach { r =>
-        rows += encode(r, attrs)
-        labels += label
-      }
-    }
-    LocalSample(attrs, rows.result(), labels.result())
+    LocalSample(table.attrs, idx.map(table.rows).toVector, idx.map(table.labels).toVector)
   }
 
   /** The attributes `cols` of `df`; an attribute is numeric iff its Spark

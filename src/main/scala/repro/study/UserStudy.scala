@@ -3,6 +3,7 @@ package repro.study
 import org.apache.spark.sql.DataFrame
 import repro.core._
 import repro.core.Schema._
+import repro.data.Nba
 import scala.util.Random
 
 /** User-study harness (paper Section 6.3, Tables 7/8/9).
@@ -40,13 +41,6 @@ object UserStudy {
 
   private def pat(ps: Pred*): Pattern.Pattern = Pattern.Pattern.of(ps: _*)
 
-  /** Join graph PT(g) – player_game_stats(1) – player(2) for Q_nba4. */
-  private val pgsPlayerJg = JoinGraph(
-    Vector(JGNode(0, "PT"), JGNode(1, "player_game_stats"), JGNode(2, "player")),
-    Vector(
-      JGEdge(0, 1, Some("g"), JoinCond(Seq("game_date" -> "game_date", "home_id" -> "home_id"))),
-      JGEdge(1, 2, None, JoinCond(Seq("player_id" -> "player_id")))))
-
   /** Join graph PT(g) – team_game_stats(1) for Q_nba4. */
   private val tgsJg = JoinGraph(
     Vector(JGNode(0, "PT"), JGNode(1, "team_game_stats")),
@@ -66,16 +60,16 @@ object UserStudy {
       pat(Pred("prov_g_home_points", OpGe, NumV(105))), "t1"),
     StudyExplanation("Expl5", "prov", JoinGraph.empty,
       pat(Pred("prov_g_home_points", OpLe, NumV(106)), Pred("prov_g_home_possessions", OpLe, NumV(100))), "t1"),
-    StudyExplanation("Expl6", "cajade", pgsPlayerJg,
+    StudyExplanation("Expl6", "cajade", Nba.playerGameStatsJg,
       pat(Pred("a2_player_name", OpEq, CatV("Stephen Curry")),
           Pred("a1_minutes", OpLe, NumV(38)), Pred("a1_usage", OpGe, NumV(25))), "t1"),
-    StudyExplanation("Expl7", "cajade", pgsPlayerJg,
+    StudyExplanation("Expl7", "cajade", Nba.playerGameStatsJg,
       pat(Pred("a2_player_name", OpEq, CatV("Draymond Green")), Pred("a1_minutes", OpGe, NumV(15))), "t1"),
-    StudyExplanation("Expl8", "cajade", pgsPlayerJg,
+    StudyExplanation("Expl8", "cajade", Nba.playerGameStatsJg,
       pat(Pred("a2_player_name", OpEq, CatV("Jarrett Jack"))), "t2"),
     StudyExplanation("Expl9", "cajade", tgsJg,
       pat(Pred("a1_assists", OpGe, NumV(27))), "t1"),
-    StudyExplanation("Expl10", "cajade", pgsPlayerJg,
+    StudyExplanation("Expl10", "cajade", Nba.playerGameStatsJg,
       pat(Pred("a2_player_name", OpEq, CatV("Marreese Speights")), Pred("a1_points", OpGe, NumV(18))), "t1"),
   )
 

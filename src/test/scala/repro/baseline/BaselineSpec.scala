@@ -2,7 +2,6 @@ package repro.baseline
 
 import repro.{SparkSpec, TestData}
 import repro.core.{Apt, Query}
-import repro.core.Schema._
 import repro.data.Nba
 import repro.ml.LocalSample
 
@@ -83,12 +82,7 @@ class BaselineSpec extends SparkSpec {
     val nba = TestData.nba(spark)
     val q = Nba.qNba4
     val pt = Query.questionProvenance(nba, q, Nba.seasonQuestion(q, "2015-16", "2012-13")).cache()
-    val jg = JoinGraph(
-      Vector(JGNode(0, "PT"), JGNode(1, "player_game_stats"), JGNode(2, "player")),
-      Vector(
-        JGEdge(0, 1, Some("g"), JoinCond(Seq("game_date" -> "game_date", "home_id" -> "home_id"))),
-        JGEdge(1, 2, None, JoinCond(Seq("player_id" -> "player_id")))))
-    val apt = Apt.materialize(nba, q, pt, jg).cache()
+    val apt = Apt.materialize(nba, q, pt, Nba.playerGameStatsJg).cache()
     val attrs = Apt.patternColumns(apt, q).filterNot(_.endsWith("_id"))
     val (p16, _) = ExplanationTables.run(apt, attrs, sampleSize = 16, k = 5)
     val (p128, _) = ExplanationTables.run(apt, attrs, sampleSize = 128, k = 5)

@@ -115,6 +115,33 @@ class EnumerateSpec extends SparkSpec {
     assert(cm.estimate(jg, 100) > 500)
   }
 
+  test("cost model: one aggregate per relation and attributes keeps the estimates and the chosen graphs") {
+    import org.apache.spark.sql.functions.{approx_count_distinct, col, concat_ws}
+    // The reference fan-out takes |S| and NDV(S, A) from two separate actions.
+    val fanOut = scala.collection.mutable.Map.empty[(String, Seq[String]), Double]
+    def reference(g: JoinGraph): Double =
+      g.edges.distinctBy(_.toNode).foldLeft(100.0) { (est, e) =>
+        val rel = g.relOf(e.toNode)
+        val attrs = e.cond.pairs.map(_._2)
+        est * fanOut.getOrElseUpdate((rel, attrs), {
+          val ndv = nba(rel).agg(approx_count_distinct(concat_ws("§", attrs.map(col): _*))).head().getLong(0)
+          nba(rel).count().toDouble / math.max(1L, ndv)
+        })
+      }
+    val cm = new Enumerate.CostModel(nba)
+    val all = Enumerate.enumerate(nba, Nba.qNba4, Params(maxEdges = 2, maxJoinGraphs = 1000, qCostThreshold = 1e12), 100)
+    assert(all.size == 25)
+    all.foreach(g => assert(cm.estimate(g, 100) == reference(g), g.describe))
+    // A cost cut of 2000 keeps the 18 graphs estimated at |PT| and these four, cheapest first.
+    val cut = Enumerate.enumerate(nba, Nba.qNba4, Params(maxEdges = 2, maxJoinGraphs = 1000, qCostThreshold = 2000), 100)
+    assert(cut.size == 22)
+    assert(cut.drop(18).map(_.describe) == Seq(
+      "PT(g)-[game_date=game_date,home_id=home_id]->team_game_stats#1 ; team_game_stats#1-[team_id=team_id]->team#2",
+      "PT(g)-[game_date=game_date,home_id=home_id]->lineup_game_stats#1 ; lineup_game_stats#1-[lineup_id=lineup_id]->lineup#2",
+      "PT(t)-[team_id=team_id]->play_for#1 ; play_for#1-[player_id=player_id]->player#2",
+      "PT(g)-[game_date=game_date,home_id=home_id]->player_game_stats#1 ; player_game_stats#1-[player_id=player_id]->player#2"))
+  }
+
   test("enumerate produces Ω₀ first and respects maxEdges") {
     val params = Params(maxEdges = 1, maxJoinGraphs = 50)
     val graphs = Enumerate.enumerate(nba, Nba.qNba4, params, ptRows = 100)

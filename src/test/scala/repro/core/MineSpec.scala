@@ -1,5 +1,10 @@
 package repro.core
 
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.ListenerDrain
+import org.apache.spark.sql.execution.QueryExecution
+import org.apache.spark.sql.util.QueryExecutionListener
+import org.apache.spark.storage.StorageLevel
 import repro.{SparkSpec, TestData}
 import repro.core.Pattern._
 import repro.core.Schema._
@@ -15,6 +20,7 @@ class MineSpec extends SparkSpec {
   private lazy val q = Nba.qNba4
   private lazy val uq = Nba.seasonQuestion(q, "2015-16", "2012-13")
   private lazy val pt = Query.questionProvenance(nba, q, uq).cache()
+  private lazy val ptTuples = Apt.collect(pt, Nil)
 
   // ---- LCA ----------------------------------------------------------------
 
@@ -178,52 +184,80 @@ class MineSpec extends SparkSpec {
       JGEdge(1, 2, None, JoinCond(Seq("player_id" -> "player_id")))))
 
   test("MineAPT returns at most k explanations above the recall threshold") {
-    val res = Mine.mineJoinGraph(nba, q, pt, salaryJg, Params(topK = 5, f1SampleRate = 1.0))
+    val res = Mine.mineJoinGraph(nba, q, pt, ptTuples, salaryJg, Params(topK = 5, f1SampleRate = 1.0))
     assert(res.explanations.size <= 5)
     assert(res.explanations.forall(_.quality.recall >= 0.2))
   }
   test("MineAPT explanations carry exact supports on the full provenance") {
     val (n1, n2) = Metrics.provSizes(pt)
-    val res = Mine.mineJoinGraph(nba, q, pt, salaryJg, Params(topK = 5, f1SampleRate = 1.0))
+    val res = Mine.mineJoinGraph(nba, q, pt, ptTuples, salaryJg, Params(topK = 5, f1SampleRate = 1.0))
     assert(res.explanations.forall(e => e.quality.support1._2 == n1 && e.quality.support2._2 == n2))
   }
   test("MineAPT on Ω₀ mines provenance-only patterns") {
-    val res = Mine.mineJoinGraph(nba, q, pt, JoinGraph.empty, Params(topK = 5, f1SampleRate = 1.0))
+    val res = Mine.mineJoinGraph(nba, q, pt, ptTuples, JoinGraph.empty, Params(topK = 5, f1SampleRate = 1.0))
     assert(res.explanations.nonEmpty)
     assert(res.explanations.forall(_.pattern.preds.forall(_.attr.startsWith("prov_"))))
   }
   test("MineAPT results are sorted by F-score") {
-    val res = Mine.mineJoinGraph(nba, q, pt, salaryJg, Params(topK = 8, f1SampleRate = 1.0))
+    val res = Mine.mineJoinGraph(nba, q, pt, ptTuples, salaryJg, Params(topK = 8, f1SampleRate = 1.0))
     val fs = res.explanations.map(_.fscore)
     assert(fs == fs.sortBy(-(_: Double)))
   }
   test("sampling (λ_F1-samp < 1) still returns plausible top patterns") {
-    val full = Mine.mineJoinGraph(nba, q, pt, JoinGraph.empty, Params(topK = 5, f1SampleRate = 1.0))
-    val sampled = Mine.mineJoinGraph(nba, q, pt, JoinGraph.empty, Params(topK = 5, f1SampleRate = 0.5))
+    val full = Mine.mineJoinGraph(nba, q, pt, ptTuples, JoinGraph.empty, Params(topK = 5, f1SampleRate = 1.0))
+    val sampled = Mine.mineJoinGraph(nba, q, pt, ptTuples, JoinGraph.empty, Params(topK = 5, f1SampleRate = 0.5))
     assert(sampled.explanations.nonEmpty)
     // Exact re-scoring means reported F-scores are comparable across runs.
     assert(math.abs(full.explanations.head.fscore - sampled.explanations.head.fscore) < 0.35)
   }
   test("numeric refinements appear when they sharpen precision") {
-    val res = Mine.mineJoinGraph(nba, q, pt, salaryJg,
+    val res = Mine.mineJoinGraph(nba, q, pt, ptTuples, salaryJg,
       Params(topK = 10, f1SampleRate = 1.0, selAttrCount = 4))
     assert(res.explanations.exists(_.pattern.numericPredCount > 0))
   }
   test("λ_attrNum bounds numeric predicates per pattern") {
-    val res = Mine.mineJoinGraph(nba, q, pt, salaryJg,
+    val res = Mine.mineJoinGraph(nba, q, pt, ptTuples, salaryJg,
       Params(topK = 10, f1SampleRate = 1.0, maxNumericPreds = 1))
     assert(res.explanations.forall(_.pattern.numericPredCount <= 1))
   }
   test("aptStats reports the APT shape for Figure 10a") {
-    val res = Mine.mineJoinGraph(nba, q, pt, salaryJg, Params(topK = 3, f1SampleRate = 1.0))
+    val res = Mine.mineJoinGraph(nba, q, pt, ptTuples, salaryJg, Params(topK = 3, f1SampleRate = 1.0))
     assert(res.aptStats.rows > 0 && res.aptStats.attributes > 0)
   }
   test("step timer accumulates the Figure 7 step names") {
     val timer = new Mine.StepTimer
-    Mine.mineJoinGraph(nba, q, pt, salaryJg, Params(topK = 3), timer)
+    Mine.mineJoinGraph(nba, q, pt, ptTuples, salaryJg, Params(topK = 3), timer)
     assert(timer.seconds("Materialize APTs") > 0)
     assert(timer.seconds("Feature Selection") > 0)
     assert(timer.seconds("Gen. Pat. Cand.") >= 0)
     assert(timer.seconds("F-score Calc.") > 0)
+  }
+
+  test("mining a join graph runs one Spark action") {
+    assert(ptTuples.size > 0) // the caller's PT collect is not counted
+    val actions = new AtomicInteger
+    val listener = new QueryExecutionListener {
+      def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit = actions.incrementAndGet()
+      def onFailure(funcName: String, qe: QueryExecution, exception: Exception): Unit = actions.incrementAndGet()
+    }
+    ListenerDrain(spark.sparkContext)
+    spark.listenerManager.register(listener)
+    try {
+      Mine.mineJoinGraph(nba, q, pt, ptTuples, salaryJg, Params(topK = 3))
+      ListenerDrain(spark.sparkContext)
+      assert(actions.get == 1)
+    } finally spark.listenerManager.unregister(listener)
+  }
+
+  // Dataset.storageLevel is NONE unless the cache manager holds the plan.
+  test("mining leaves the caller's cached PT and cached APT in the cache") {
+    Mine.mineJoinGraph(nba, q, pt, ptTuples, JoinGraph.empty, Params(topK = 3))
+    assert(pt.storageLevel != StorageLevel.NONE) // Ω₀'s APT is `pt` itself
+    val apt = Apt.materialize(nba, q, pt, salaryJg).cache()
+    try {
+      apt.count()
+      Mine.mineJoinGraph(nba, q, pt, ptTuples, salaryJg, Params(topK = 3))
+      assert(apt.storageLevel != StorageLevel.NONE)
+    } finally apt.unpersist()
   }
 }

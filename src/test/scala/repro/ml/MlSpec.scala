@@ -1,6 +1,8 @@
 package repro.ml
 
+import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
+import repro.core.Apt
 import scala.util.Random
 
 /** Tests for the ML substrates: the local random forest used for relevance
@@ -107,13 +109,17 @@ class MlSpec extends SparkSpec {
     assert(clusters.size == 4)
   }
 
-  // ---- LocalSample.collect ------------------------------------------------
+  // ---- LocalSample.draw over a collected APT -------------------------------
+
+  private def sampleOf(df: DataFrame, cols: Seq[String], fraction: Double, cap: Int,
+                       seed: Long = 7): LocalSample =
+    LocalSample.draw(Apt.collect(df, cols), fraction, cap, seed)
 
   test("collect caps rows and carries types") {
     import spark.implicits._
     val df = (1 to 500).map(i => (i.toLong, "t" + (i % 2 + 1), i.toDouble, s"c${i % 5}"))
       .toDF("pt_id", "grp", "num", "cat")
-    val s = LocalSample.collect(df, Seq("num", "cat"), 1.0, 100)
+    val s = sampleOf(df, Seq("num", "cat"), 1.0, 100)
     assert(s.size <= 100)
     assert(s.attrs == Vector(LocalSample.Attr("num", true), LocalSample.Attr("cat", false)))
     assert(s.labels.toSet == Set(0, 1))
@@ -122,8 +128,49 @@ class MlSpec extends SparkSpec {
     import spark.implicits._
     val df = ((1 to 300).map(i => (i.toLong, "t1", i.toDouble)) ++ (1 to 10).map(i => (1000L + i, "t2", i.toDouble)))
       .toDF("pt_id", "grp", "num")
-    val s = LocalSample.collect(df, Seq("num"), 1.0, 100)
+    val s = sampleOf(df, Seq("num"), 1.0, 100)
     assert(s.labels.count(_ == 1) == 10) // the whole minority group
     assert(s.labels.count(_ == 0) == 50)
+  }
+  test("a fractional sample is fixed by its seed") {
+    import spark.implicits._
+    val df = (1 to 400).map(i => (i.toLong, "t" + (i % 2 + 1), i.toDouble)).toDF("pt_id", "grp", "num")
+    def nums(seed: Long) = sampleOf(df, Seq("num"), 0.5, 1000, seed).numericValues(0)
+    val a = nums(3)
+    assert(a.size > 150 && a.size < 250) // about half of the 400 rows
+    assert(nums(3) == a)
+    assert(nums(4) != a)
+  }
+  test("the sample falls back to the whole group below min(cap/2, 30) rows") {
+    import spark.implicits._
+    // t1: 1000 rows, a 10% sample (~100 rows) is kept as drawn; t2: 50
+    // rows, whose ~5 sampled rows are below 30, so all 50 are taken.
+    val df = ((1 to 1000).map(i => (i.toLong, "t1", i.toDouble)) ++ (1 to 50).map(i => (5000L + i, "t2", i.toDouble)))
+      .toDF("pt_id", "grp", "num")
+    val s = sampleOf(df, Seq("num"), 0.1, 1000)
+    val n1 = s.labels.count(_ == 0)
+    assert(n1 >= 30 && n1 < 200)
+    assert(s.labels.count(_ == 1) == 50)
+    // Cap 20 allows 10 rows per group: a fraction of 0 samples no row, and
+    // the fallback takes 10 rows of each whole group.
+    val capped = sampleOf(df, Seq("num"), 0.0, 20)
+    assert(capped.labels.count(_ == 0) == 10 && capped.labels.count(_ == 1) == 10)
+  }
+  test("collected tables and samples do not depend on how Spark partitions the rows") {
+    import spark.implicits._
+    val rnd = new Random(17)
+    val df = (1 to 600).map { i =>
+      (rnd.nextInt(40).toLong, "t" + (rnd.nextInt(2) + 1),
+        if (rnd.nextInt(6) == 0) None else Some(s"c${rnd.nextInt(3)}"),
+        if (rnd.nextInt(6) == 0) None else Some(rnd.nextInt(4).toDouble))
+    }.toDF("pt_id", "grp", "cat", "num")
+    def shape(t: Apt.Local) =
+      (t.ptIds.toSeq, t.labels.toSeq, t.rows.toSeq.map(_.map(String.valueOf).toSeq))
+    val cols = Seq("cat", "num")
+    val a = Apt.collect(df, cols)
+    val b = Apt.collect(df.repartition(7), cols)
+    assert(shape(a) == shape(b))
+    def rows(s: LocalSample) = (s.rows.map(_.map(String.valueOf).toSeq), s.labels)
+    assert(rows(sampleOf(df, cols, 0.2, 100)) == rows(sampleOf(df.repartition(7), cols, 0.2, 100)))
   }
 }
